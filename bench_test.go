@@ -5,6 +5,7 @@
 package hiway_test
 
 import (
+	"encoding/json"
 	"os"
 	"testing"
 
@@ -183,23 +184,106 @@ func BenchmarkAblationFaultTolerance(b *testing.B) {
 }
 
 // BenchmarkScale runs the scale-out harness — synthetic layered workflows
-// of up to ~10k tasks on clusters of up to 256 nodes (set HIWAY_SCALE_FULL=1
-// for the full ladder) — and writes the measurements to BENCH_scale.json.
-// It measures the simulator itself: events/sec and allocations are the
-// kernel's own hot-path cost, not modeled hardware time.
+// of up to ~10k tasks on clusters of up to 256 nodes, and a 102k-task
+// sharded rung, with HIWAY_SCALE_FULL=1 — and holds the fresh ladder to the
+// committed BENCH_scale.json (checkScaleLadder). It measures the simulator
+// itself: events/sec and allocations are the kernel's own hot-path cost,
+// not modeled hardware time. The full ladder rewrites BENCH_scale.json; the
+// default short ladder is a smoke run and leaves the file alone.
 func BenchmarkScale(b *testing.B) {
 	full := os.Getenv("HIWAY_SCALE_FULL") != ""
+	committed := committedScaleLadder(b)
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.ScaleSweep(experiments.ScaleSweepConfigs(full))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := os.WriteFile("BENCH_scale.json", res.JSON(), 0o644); err != nil {
-			b.Fatal(err)
+		if full {
+			if err := os.WriteFile("BENCH_scale.json", res.JSON(), 0o644); err != nil {
+				b.Fatal(err)
+			}
 		}
+		checkScaleLadder(b, res, committed)
 		last := res.Points[len(res.Points)-1]
 		b.ReportMetric(last.EventsPerSec, "events/s")
 		b.ReportMetric(last.WallSec, "wall-s")
+	}
+}
+
+// TestScaleLadderMatchesCommitted runs the short scale ladder and holds it
+// to the committed BENCH_scale.json, so a change to the modelled makespans,
+// event counts or container counts fails the ordinary test run.
+func TestScaleLadderMatchesCommitted(t *testing.T) {
+	res, err := experiments.ScaleSweep(experiments.ScaleSweepConfigs(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkScaleLadder(t, res, committedScaleLadder(t))
+}
+
+// flatThroughputFloor is the scale ladder's flat-throughput gate: the top
+// rung must run at least this fraction of the 2,048-task rung's events/sec.
+const flatThroughputFloor = 0.7
+
+// committedScaleLadder reads the committed BENCH_scale.json.
+func committedScaleLadder(tb testing.TB) *experiments.ScaleResult {
+	tb.Helper()
+	raw, err := os.ReadFile("BENCH_scale.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var res experiments.ScaleResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		tb.Fatalf("BENCH_scale.json: %v", err)
+	}
+	return &res
+}
+
+// checkScaleLadder checks a fresh scale ladder against the committed one.
+// Every fresh rung must have a committed rung of the same shape with equal
+// modelled columns — makespan, events and containers, which only a model
+// change may move — and the top rung must keep flatThroughputFloor of the
+// 2,048-task rung's events/sec.
+func checkScaleLadder(tb testing.TB, fresh, committed *experiments.ScaleResult) {
+	tb.Helper()
+	if len(fresh.Points) == 0 {
+		tb.Fatal("empty scale ladder")
+	}
+	type shape struct {
+		tasks, nodes, shards int
+		policy               string
+	}
+	want := make(map[shape]experiments.ScalePoint, len(committed.Points))
+	for _, p := range committed.Points {
+		want[shape{p.Tasks, p.Nodes, p.Shards, p.Policy}] = p
+	}
+	var base, top *experiments.ScalePoint
+	for i := range fresh.Points {
+		p := &fresh.Points[i]
+		c, ok := want[shape{p.Tasks, p.Nodes, p.Shards, p.Policy}]
+		switch {
+		case !ok:
+			tb.Errorf("rung %d tasks / %d nodes / %s has no committed counterpart", p.Tasks, p.Nodes, p.Policy)
+		case p.MakespanSec != c.MakespanSec || p.Events != c.Events || p.Containers != c.Containers:
+			tb.Errorf("rung %d tasks / %d nodes / %s: makespan %v, events %d, containers %d; committed %v, %d, %d",
+				p.Tasks, p.Nodes, p.Policy, p.MakespanSec, p.Events, p.Containers, c.MakespanSec, c.Events, c.Containers)
+		}
+		if p.Tasks == 2048 {
+			base = p
+		}
+		if top == nil || p.Tasks > top.Tasks {
+			top = p
+		}
+	}
+	if base == nil {
+		tb.Fatal("scale ladder has no 2,048-task rung")
+	}
+	ratio := top.EventsPerSec / base.EventsPerSec
+	tb.Logf("ladder: %dt @ %.0f ev/s -> %dt @ %.0f ev/s (ratio %.2f)",
+		base.Tasks, base.EventsPerSec, top.Tasks, top.EventsPerSec, ratio)
+	if ratio < flatThroughputFloor {
+		tb.Errorf("top rung (%d tasks) runs at %.0f%% of the 2k rung; flat-throughput gate is %.0f%%",
+			top.Tasks, 100*ratio, 100*flatThroughputFloor)
 	}
 }
 

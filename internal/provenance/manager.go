@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"hiway/internal/memo"
 	"hiway/internal/obs"
 	"hiway/internal/wf"
 )
@@ -31,7 +30,7 @@ type Manager struct {
 	lastRuntime map[string]map[string]float64 // signature → node → latest duration
 	runtimeSum  map[string]float64            // signature → Σ lastRuntime values (O(1) mean)
 	estVer      map[string]uint64             // signature → observation version
-	history     *memo.History                 // signature → bounded ring of successful durations
+	history     *history                      // signature → bounded ring of successful durations
 	fileSizes   map[string]float64            // path → size MB
 	transferSec map[string]float64            // path → latest transfer time
 	signatures  map[string]bool
@@ -63,7 +62,7 @@ func NewManager(store Store) (*Manager, error) {
 		lastRuntime: make(map[string]map[string]float64),
 		runtimeSum:  make(map[string]float64),
 		estVer:      make(map[string]uint64),
-		history:     memo.NewHistory(0),
+		history:     newHistory(0),
 		fileSizes:   make(map[string]float64),
 		transferSec: make(map[string]float64),
 		signatures:  make(map[string]bool),
@@ -151,12 +150,8 @@ func (m *Manager) RecordWorkflowEnd(wfID, wfName string, at, makespan float64, o
 // RecordTaskStart emits a task-start event for one attempt of a task.
 // Retries and speculative duplicates pass attempt > 0 and get distinct IDs.
 func (m *Manager) RecordTaskStart(wfID, wfName string, t *wf.Task, node string, attempt int, at float64) error {
-	id := fmt.Sprintf("%s-task-%d-start", wfID, t.ID)
-	if attempt > 0 {
-		id = fmt.Sprintf("%s-a%d", id, attempt)
-	}
 	return m.Record(Event{
-		ID:   id,
+		ID:   taskEventID(wfID, t.ID, "-start", attempt),
 		Type: TaskStart, Timestamp: at,
 		WorkflowID: wfID, WorkflowName: wfName,
 		TaskID: t.ID, Attempt: attempt, Signature: t.Name, Command: t.Command, Node: node,
@@ -209,18 +204,24 @@ func (m *Manager) index(ev Event) {
 		// legitimately takes, and a memo-spliced completion (duration 0)
 		// reflects no execution at all.
 		if ev.ExitCode == 0 && ev.Error == "" && ev.DurationSec > 0 {
-			m.history.Add(ev.Signature, ev.DurationSec)
+			m.history.add(ev.Signature, ev.DurationSec)
 		}
-		for _, f := range append(append([]FileEvent{}, ev.Inputs...), ev.Outputs...) {
-			if f.SizeMB > 0 {
-				m.fileSizes[f.Path] = f.SizeMB
-			}
-			if f.TransferSec > 0 {
-				m.transferSec[f.Path] = f.TransferSec
-			}
-		}
+		m.indexFiles(ev.Inputs)
+		m.indexFiles(ev.Outputs)
 	case WorkflowEnd:
 		m.workflowCount++
+	}
+}
+
+// indexFiles records the observed sizes and transfer times of files.
+func (m *Manager) indexFiles(files []FileEvent) {
+	for _, f := range files {
+		if f.SizeMB > 0 {
+			m.fileSizes[f.Path] = f.SizeMB
+		}
+		if f.TransferSec > 0 {
+			m.transferSec[f.Path] = f.TransferSec
+		}
 	}
 }
 
@@ -264,14 +265,14 @@ func (m *Manager) EstimateVersion(signature string) uint64 {
 // of recent successful observations of signature (any node). The
 // fault-tolerance layer derives attempt deadlines from it: deadline =
 // p95 × slack. ok is false when the signature has never completed
-// successfully. The distribution lives in a memo.History ring — the hot
+// successfully. The distribution lives in a bounded history ring — the hot
 // tier of the provenance store — so memory stays bounded under soak and the
 // sorted window is cached between observations instead of re-sorted per
 // query.
 func (m *Manager) RuntimeP95(signature string) (float64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.history.Quantile(signature, 0.95)
+	return m.history.quantile(signature, 0.95)
 }
 
 // ObservedNodes returns the nodes that signature has run on, sorted.

@@ -28,37 +28,55 @@ type BatchAppender interface {
 	AppendBatch(evs []Event) error
 }
 
+// maxChunk caps the number of events in one MemStore chunk.
+const maxChunk = 1024
+
 // MemStore keeps events in memory. The zero value is ready to use.
+//
+// Events live in chunks that are filled in place and never move, so a long
+// run never pays for copying its whole history when storage grows. A new
+// chunk holds max(events stored so far, incoming batch) events, capped at
+// maxChunk: a short run keeps no more memory than one slice would, while a
+// long run's chunks settle at maxChunk events each.
 type MemStore struct {
 	mu     sync.Mutex
-	events []Event
+	chunks [][]Event
+	n      int // events stored, across all chunks
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{} }
 
 // Append implements Store.
-func (s *MemStore) Append(ev Event) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events = append(s.events, ev)
-	return nil
-}
+func (s *MemStore) Append(ev Event) error { return s.AppendBatch([]Event{ev}) }
 
 // AppendBatch implements BatchAppender.
 func (s *MemStore) AppendBatch(evs []Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.events = append(s.events, evs...)
+	for len(evs) > 0 {
+		last := len(s.chunks) - 1
+		if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
+			s.chunks = append(s.chunks, make([]Event, 0, min(max(s.n, len(evs)), maxChunk)))
+			last++
+		}
+		c := &s.chunks[last]
+		k := min(cap(*c)-len(*c), len(evs))
+		*c = append(*c, evs[:k]...)
+		s.n += k
+		evs = evs[k:]
+	}
 	return nil
 }
 
-// Events implements Store.
+// Events implements Store. The result is a fresh copy the caller may modify.
 func (s *MemStore) Events() ([]Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Event, len(s.events))
-	copy(out, s.events)
+	out := make([]Event, 0, s.n)
+	for _, c := range s.chunks {
+		out = append(out, c...)
+	}
 	return out, nil
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -513,4 +514,78 @@ func TestEngineCancelAtIdenticalTimestamps(t *testing.T) {
 	// Cancel after fire stays a harmless no-op even at shared timestamps.
 	e.Cancel(ev1)
 	e.Cancel(ev4)
+}
+
+// TestSharedResourceSimultaneousFinishersWithNestedSubmit finishes three
+// flows at one instant. Two callbacks submit to the same resource, which
+// runs nested reshares while the outer one is still firing callbacks; the
+// second submits a job small enough to drain inside its own nested
+// reshare. Callbacks must fire in submission order, each exactly once, the
+// nested flow must complete on time, and the scratch list must end empty.
+func TestSharedResourceSimultaneousFinishersWithNestedSubmit(t *testing.T) {
+	e := NewEngine()
+	r := NewSharedResource(e, "net", 30)
+	var got []string
+	var nestedAt float64
+	r.Submit(10, 10, func() {
+		got = append(got, "a")
+		r.Submit(5, 0, func() { got = append(got, "nested"); nestedAt = e.Now() })
+		r.Submit(0, 0, func() { got = append(got, "zero") })
+	})
+	r.Submit(10, 10, func() {
+		got = append(got, "b")
+		r.Submit(workEps/10, 0, func() { got = append(got, "tiny") })
+	})
+	r.Submit(10, 10, func() { got = append(got, "c") })
+	e.Run()
+	want := []string{"a", "b", "tiny", "c", "zero", "nested"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("callback order = %v, want %v", got, want)
+	}
+	if !almostEqual(nestedAt, 1+5.0/30, 1e-9) {
+		t.Fatalf("nested flow finished at %g, want %g", nestedAt, 1+5.0/30)
+	}
+	if r.Active() != 0 {
+		t.Fatalf("%d jobs still active", r.Active())
+	}
+	for i, j := range r.finished[:cap(r.finished)] {
+		if j != nil {
+			t.Fatalf("finished scratch slot %d still holds a job", i)
+		}
+	}
+}
+
+// TestSharedResourceFinishOrderAcrossCaps finishes flows with different
+// caps at one instant: they are collected in cap order but must complete
+// in submission order.
+func TestSharedResourceFinishOrderAcrossCaps(t *testing.T) {
+	e := NewEngine()
+	r := NewSharedResource(e, "net", 100)
+	var got []int
+	for i, c := range []float64{40, 10, 30, 20} {
+		r.Submit(c, c, func() { got = append(got, i) })
+	}
+	e.Run()
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("completion order = %v, want %v", got, want)
+	}
+}
+
+// submitCompleteAllocBudget is the allocation count of one submit→complete
+// cycle with one finisher: the Job itself. The wake event is pooled and
+// reshare's finished list is reused.
+const submitCompleteAllocBudget = 1
+
+func TestSharedResourceSubmitCompleteAllocs(t *testing.T) {
+	e := NewEngine()
+	r := NewSharedResource(e, "net", 10)
+	done := func() {}
+	cycle := func() {
+		r.Submit(5, 0, done)
+		e.Run()
+	}
+	cycle() // warm the event pool and the scratch list
+	if got := testing.AllocsPerRun(1000, cycle); got > submitCompleteAllocBudget {
+		t.Fatalf("submit→complete allocates %.2f times, budget %d", got, submitCompleteAllocBudget)
+	}
 }

@@ -24,9 +24,6 @@ type Job struct {
 	seq       int64
 }
 
-// Rate returns the job's currently allocated rate in resource units/sec.
-func (j *Job) Rate() float64 { return j.rate }
-
 // Cancel withdraws the job from its resource without invoking its done
 // callback. Canceling a finished or already-canceled job is a no-op. This is
 // what makes task attempts killable: a timed-out or superseded attempt's
@@ -85,7 +82,8 @@ type SharedResource struct {
 	wakeAt    float64 // absolute time wake is armed for
 	wakeFn    func()  // cached wake callback (avoids a closure per arm)
 	seq       int64
-	reshares  int64 // rate recomputations, exported by the observability layer
+	reshares  int64  // rate recomputations, exported by the observability layer
+	finished  []*Job // reshare's scratch list of drained jobs, kept between calls
 
 	// meters (time integrals since creation)
 	meterStart   float64
@@ -117,9 +115,6 @@ func NewSharedResource(eng *Engine, name string, capacity float64) *SharedResour
 
 // Name returns the resource's diagnostic name.
 func (r *SharedResource) Name() string { return r.name }
-
-// Capacity returns the aggregate capacity in units/sec.
-func (r *SharedResource) Capacity() float64 { return r.capacity }
 
 // Active returns the number of jobs currently sharing the resource.
 func (r *SharedResource) Active() int { return len(r.jobs) }
@@ -262,12 +257,19 @@ func (r *SharedResource) sync(j *Job, now float64) {
 // remove, completion wake). It fuses three passes over the cap-sorted job
 // list: completing drained jobs, recomputing max-min fair rates, and
 // picking the next wake time.
+//
+// Drained jobs are collected into the resource's reusable finished slice,
+// so a completion allocates nothing. reshare takes the slice at entry and
+// hands it back, cleared, only after the callbacks ran: a callback that
+// submits to this resource starts a nested reshare, which then collects
+// into a slice of its own instead of overwriting the outer list.
 func (r *SharedResource) reshare() {
 	r.reshares++
 	now := r.eng.Now()
 
 	// Collect jobs whose work is exhausted, keeping the rest in order.
-	var finished []*Job
+	finished := r.finished[:0]
+	r.finished = nil
 	kept := r.jobs[:0]
 	for _, j := range r.jobs {
 		if !j.infinite && j.remaining-j.rate*(now-j.syncT) <= workEps {
@@ -289,8 +291,13 @@ func (r *SharedResource) reshare() {
 			j.rate = 0
 		}
 		// Callbacks fire in submission order; finished was collected in
-		// (cap, seq) order.
-		sort.Slice(finished, func(a, b int) bool { return finished[a].seq < finished[b].seq })
+		// (cap, seq) order. Seqs are unique and the list is usually one
+		// job long, so an insertion sort suffices.
+		for i := 1; i < len(finished); i++ {
+			for k := i; k > 0 && finished[k].seq < finished[k-1].seq; k-- {
+				finished[k], finished[k-1] = finished[k-1], finished[k]
+			}
+		}
 	}
 
 	// Max-min fair shares: ascending by cap, each job takes min(cap, equal
@@ -345,6 +352,8 @@ func (r *SharedResource) reshare() {
 			j.done()
 		}
 	}
+	clear(finished)
+	r.finished = finished[:0]
 }
 
 // effCap returns the job's effective rate cap, treating 0 as "capacity".
