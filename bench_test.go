@@ -320,7 +320,7 @@ func BenchmarkServiceLoad(b *testing.B) {
 // measurements to BENCH_elastic.json. The figures of merit are goodput
 // retained under preemption chaos and cost units spent earning it: the
 // elastic policies must hold goodput near their chaos-free baseline while
-// billing well under the static fleet.
+// billing well under the static fleet (checkElasticLadder).
 func BenchmarkElastic(b *testing.B) {
 	full := os.Getenv("HIWAY_SCALE_FULL") != ""
 	for i := 0; i < b.N; i++ {
@@ -331,9 +331,69 @@ func BenchmarkElastic(b *testing.B) {
 		if err := os.WriteFile("BENCH_elastic.json", res.JSON(), 0o644); err != nil {
 			b.Fatal(err)
 		}
+		checkElasticLadder(b, res)
 		last := res.Points[len(res.Points)-1]
 		b.ReportMetric(last.GoodputPerHour, "goodput/h")
 		b.ReportMetric(last.CostUnits, "cost-units")
 		b.ReportMetric(float64(last.Preempted), "preempted")
+	}
+}
+
+// TestElasticLadderInvariants runs the short elastic ladder and holds it to
+// checkElasticLadder in the ordinary test run, without touching the
+// committed BENCH_elastic.json.
+func TestElasticLadderInvariants(t *testing.T) {
+	res, err := experiments.ElasticSweep(experiments.ElasticSweepConfigs(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkElasticLadder(t, res)
+}
+
+// elasticGoodputFloor is the elastic ladder's chaos gate: under 30% spot
+// chaos an elastic policy must keep this fraction of its calm goodput.
+const elasticGoodputFloor = 0.8
+
+// checkElasticLadder holds an elastic ladder to its invariants: six rungs
+// (three policies, calm and 30% spot chaos), no accounting leak
+// (succeeded + failed = admitted), and for the reactive and predictive
+// policies, chaos goodput at least elasticGoodputFloor of calm goodput at
+// a cost below the static fleet's under the same chaos.
+func checkElasticLadder(tb testing.TB, res *experiments.ElasticResult) {
+	tb.Helper()
+	if len(res.Points) != 6 {
+		tb.Fatalf("expected 6 elastic ladder points, got %d", len(res.Points))
+	}
+	type rung struct {
+		policy   string
+		spotRate float64
+	}
+	by := make(map[rung]experiments.ElasticPoint, len(res.Points))
+	for _, p := range res.Points {
+		by[rung{p.Autoscale, p.SpotRate}] = p
+		if p.Succeeded+p.Failed != p.Admitted {
+			tb.Errorf("accounting leak in %s spot %g: succeeded %d + failed %d != admitted %d",
+				p.Autoscale, p.SpotRate, p.Succeeded, p.Failed, p.Admitted)
+		}
+	}
+	static, ok := by[rung{"static", 0.3}]
+	if !ok {
+		tb.Fatal("elastic ladder has no static rung under chaos")
+	}
+	for _, pol := range []string{"reactive", "predictive"} {
+		calm, okCalm := by[rung{pol, 0}]
+		chaos, okChaos := by[rung{pol, 0.3}]
+		if !okCalm || !okChaos {
+			tb.Errorf("elastic ladder lacks the %s calm/chaos rungs", pol)
+			continue
+		}
+		if calm.GoodputPerHour <= 0 {
+			tb.Errorf("%s: no calm goodput", pol)
+		} else if ratio := chaos.GoodputPerHour / calm.GoodputPerHour; ratio < elasticGoodputFloor {
+			tb.Errorf("%s: chaos goodput only %.0f%% of calm; gate is %.0f%%", pol, 100*ratio, 100*elasticGoodputFloor)
+		}
+		if chaos.CostUnits >= static.CostUnits {
+			tb.Errorf("%s under chaos costs %v >= static %v", pol, chaos.CostUnits, static.CostUnits)
+		}
 	}
 }

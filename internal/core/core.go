@@ -531,10 +531,6 @@ func (am *AM) Finished() bool { return am.finished }
 // (load models and monitors poll it during execution).
 func (am *AM) CompletedTasks() int { return len(am.results) }
 
-// RecoveredTasks returns how many tasks Resume reconstructed from
-// provenance instead of executing.
-func (am *AM) RecoveredTasks() int { return am.recovered }
-
 // AMNodeID returns the node hosting the AM container.
 func (am *AM) AMNodeID() string { return am.app.AMContainer.NodeID }
 

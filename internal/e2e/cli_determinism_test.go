@@ -19,11 +19,7 @@ func TestCLIByteDeterminism(t *testing.T) {
 		t.Skip("builds and execs the CLI binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "hiway")
-	build := exec.Command("go", "build", "-o", bin, "hiway/cmd/hiway")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t, dir)
 
 	// A static DAX diamond, so static planners (roundrobin, heft) can run it
 	// too; the chaos plan crashes one attempt and slows one node.

@@ -119,11 +119,7 @@ func TestCrossLanguageByteIdenticalCLI(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "hiway")
-	build := exec.Command("go", "build", "-o", bin, "hiway/cmd/hiway")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t, dir)
 	if err := os.WriteFile(filepath.Join(dir, "wf.cf"), []byte(cfSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,23 @@ package e2e
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 )
+
+// buildCLI builds the hiway binary into dir and returns its path.
+func buildCLI(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "hiway")
+	build := exec.Command("go", "build", "-o", bin, "hiway/cmd/hiway")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // TestLoadSoakByteDeterminism builds the hiway binary and runs the same
 // `hiway load` soak twice in separate processes and working directories.
@@ -21,11 +33,7 @@ func TestLoadSoakByteDeterminism(t *testing.T) {
 		t.Skip("builds and execs the CLI binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "hiway")
-	build := exec.Command("go", "build", "-o", bin, "hiway/cmd/hiway")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t, dir)
 
 	run := func(runDir string, extra ...string) (stdout, metrics []byte) {
 		t.Helper()
@@ -58,6 +66,7 @@ func TestLoadSoakByteDeterminism(t *testing.T) {
 		{"chaos", []string{"-chaos", "crashrate=0.1;kill=node-03@300;slow=node-02@120:1", "-chaos-seed", "5"}},
 		{"memo", []string{"-memo"}},
 		{"memo-chaos", []string{"-memo", "-chaos", "crashrate=0.1;kill=node-03@300;slow=node-02@120:1", "-chaos-seed", "5"}},
+		{"memo-crash-kill", []string{"-memo", "-chaos", "crashrate=0.1;kill=node-03@300", "-chaos-seed", "5"}},
 	}
 	for _, tc := range cases {
 		out1, m1 := run(filepath.Join(dir, tc.name+"-1"), tc.extra...)
@@ -105,11 +114,7 @@ func TestElasticSoakByteDeterminism(t *testing.T) {
 		t.Skip("builds and execs the CLI binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "hiway")
-	build := exec.Command("go", "build", "-o", bin, "hiway/cmd/hiway")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t, dir)
 
 	run := func(runDir string, extra ...string) (stdout, metrics []byte) {
 		t.Helper()
@@ -158,6 +163,57 @@ func TestElasticSoakByteDeterminism(t *testing.T) {
 		}
 		if !bytes.Contains(m1, []byte("hiway_yarn_preempted_total")) {
 			t.Errorf("%s: metrics snapshot lacks the preemption counter", tc.name)
+		}
+	}
+}
+
+// TestLoadMemoLadderColumns runs `hiway load -ladder` over a 600 s window
+// with and without -memo and checks the ladder JSON: every memo rung
+// carries the memo flag, no memo-off rung carries a memo column, and the
+// memo ladder splices at least one task from the table.
+func TestLoadMemoLadderColumns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the CLI binary")
+	}
+	dir := t.TempDir()
+	bin := buildCLI(t, dir)
+	ladder := func(name string, extra ...string) []map[string]any {
+		t.Helper()
+		path := filepath.Join(dir, name+".json")
+		args := append([]string{"load", "-ladder", "-duration", "600", "-json", path}, extra...)
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("%s ladder: %v\n%s", name, err, out)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res struct {
+			Points []map[string]any `json:"points"`
+		}
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatalf("%s ladder JSON: %v", name, err)
+		}
+		if len(res.Points) == 0 {
+			t.Fatalf("%s ladder has no points", name)
+		}
+		return res.Points
+	}
+	hit := false
+	for _, p := range ladder("ladder-memo", "-memo") {
+		if p["memo"] != true {
+			t.Errorf("memo ladder rung missing memo flag: %v", p)
+		}
+		if hits, _ := p["memoHits"].(float64); hits > 0 {
+			hit = true
+		}
+	}
+	if !hit {
+		t.Error("memo ladder never hit")
+	}
+	for _, p := range ladder("ladder-off") {
+		if _, ok := p["memo"]; ok {
+			t.Errorf("memo-off rung leaked memo columns: %v", p)
 		}
 	}
 }

@@ -6,7 +6,8 @@
 //
 // # The seeded-arrival Service (hiway load)
 //
-// A seeded open-loop arrival generator submits workflows from mixed tenant
+// A seeded open-loop arrival generator (SeededSubmissions, shared with the
+// Server's deterministic replay) submits workflows from mixed tenant
 // profiles; an admission controller bounds concurrent AMs and applies
 // queue-depth backpressure (rejection with a retry-after hint); per-tenant
 // weighted fair-share quotas are enforced by internal/yarn's allocator; and
@@ -43,4 +44,7 @@
 // virtual-clock deterministic replay (ServerConfig.Deterministic plus
 // RunDeterministic, which drives seeded arrivals through the same HTTP
 // handlers in-process) produce byte-identical completed-task multisets.
+// The replay runs on an internal/sim engine: arrivals, 429 retries and
+// run completions are engine events, and each admitted run executes
+// inline, completing at its admission time plus its makespan.
 package service

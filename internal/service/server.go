@@ -19,6 +19,7 @@ import (
 	"hiway/internal/recipes"
 	"hiway/internal/scheduler"
 	"hiway/internal/shard"
+	"hiway/internal/sim"
 	"hiway/internal/wf"
 	"hiway/internal/workloads"
 	"hiway/internal/yarn"
@@ -63,12 +64,10 @@ type ServerConfig struct {
 	// RetryLimit is how many times the deterministic replay's simulated
 	// client retries a rejected submission before dropping it. Default 1.
 	RetryLimit int
-	// MaxTaskRetries is forwarded to each run's core.Config. Default 3.
-	MaxTaskRetries int
-	// Deterministic switches the server onto a virtual clock with serial
-	// run execution, driven by RunDeterministic through the same HTTP
-	// handlers over an in-process transport. A deterministic server must
-	// not serve real network traffic.
+	// Deterministic switches the server onto a sim.Engine virtual clock
+	// with serial run execution, driven by RunDeterministic through the
+	// same HTTP handlers over an in-process transport. A deterministic
+	// server must not serve real network traffic.
 	Deterministic bool
 	// Memo shares one cluster-wide memo table across every run the server
 	// admits: repeated submissions of the same pipeline — any tenant, unless
@@ -103,9 +102,6 @@ func (c *ServerConfig) setDefaults() {
 		c.RetryLimit = 0
 	} else if c.RetryLimit == 0 {
 		c.RetryLimit = 1
-	}
-	if c.MaxTaskRetries <= 0 {
-		c.MaxTaskRetries = 3
 	}
 }
 
@@ -234,7 +230,7 @@ type Server struct {
 	obs   *obs.Obs
 	memo  *memo.Table // nil unless cfg.Memo
 	start time.Time
-	vnow  float64 // virtual clock (deterministic mode only)
+	eng   *sim.Engine // virtual clock and replay timeline; nil unless cfg.Deterministic
 
 	mu            sync.Mutex
 	gate          *fifoGate[*Run]
@@ -248,7 +244,6 @@ type Server struct {
 	runs      *runRegistry
 	drainedCh chan struct{}
 	wg        sync.WaitGroup
-	detReady  []*Run // admitted, awaiting serial execution (deterministic mode)
 
 	submittedC *obs.Counter
 	acceptedC  *obs.Counter
@@ -290,6 +285,9 @@ func NewServer(cfg ServerConfig, profiles []TenantProfile) (*Server, error) {
 	for i := range profiles {
 		s.tenants[profiles[i].Name] = &profiles[i]
 	}
+	if cfg.Deterministic {
+		s.eng = sim.NewEngine()
+	}
 	s.obs = obs.New(s.now)
 	if cfg.Memo {
 		s.memo = memo.New(0)
@@ -320,8 +318,8 @@ func NewServer(cfg ServerConfig, profiles []TenantProfile) (*Server, error) {
 // now returns the service clock: virtual seconds in deterministic mode,
 // wall seconds since construction otherwise.
 func (s *Server) now() float64 {
-	if s.cfg.Deterministic {
-		return s.vnow
+	if s.eng != nil {
+		return s.eng.Now()
 	}
 	return time.Since(s.start).Seconds()
 }
@@ -476,18 +474,24 @@ func (s *Server) dispatchLocked() []*Run {
 }
 
 // launch starts execution of freshly admitted runs: one goroutine per AM in
-// real mode, a serial ready-list in deterministic mode.
+// real mode. In deterministic mode the run executes inline and its
+// completion lands on the virtual timeline at admission plus its makespan.
 func (s *Server) launch(admitted []*Run) {
 	for _, r := range admitted {
 		r.mu.Lock()
 		at := r.admitAt
 		r.mu.Unlock()
 		r.publish(RunEvent{Type: EventAdmitted, At: at})
-		if s.cfg.Deterministic {
+		if s.eng != nil {
 			if s.cfg.Hook != nil {
 				s.cfg.Hook.OnAdmitted(at, r.Tenant, r.ID)
 			}
-			s.detReady = append(s.detReady, r)
+			rep, err := s.runWorkflow(r)
+			makespan := 0.0
+			if rep != nil {
+				makespan = rep.MakespanSec
+			}
+			s.eng.Schedule(makespan, func() { s.finishRun(r, rep, err) })
 			continue
 		}
 		s.wg.Add(1)
@@ -596,7 +600,7 @@ func (s *Server) runWorkflow(r *Run) (*core.Report, error) {
 	am, err := core.Launch(env, r.driver, sched, core.Config{
 		WorkflowID: r.ID,
 		Tenant:     r.Tenant,
-		MaxRetries: s.cfg.MaxTaskRetries,
+		MaxRetries: maxTaskRetries,
 		Memo:       s.memo,
 		MemoPrefix: memoPrefix,
 		Audit:      &runAudit{s: s, r: r},
@@ -778,89 +782,46 @@ func (r *responseRecorder) status() int {
 	return r.code
 }
 
-// detEvent is one deterministic-replay timeline entry.
-type detEvent struct {
-	at   float64
-	seq  int
-	fire func()
-}
-
 // RunDeterministic drives a deterministic server through a full seeded
-// traffic run on the virtual clock: SeededSubmissions(seed, profiles,
+// traffic run on its sim.Engine: SeededSubmissions(seed, profiles,
 // durationSec) arrive through the real HTTP handlers over an in-process
 // transport, 429s are retried after RetryAfterSec up to RetryLimit times
 // (then dropped), admitted runs execute serially, and completions land at
 // admitAt + makespan. The resulting Multiset is the ground truth a live
 // run over real HTTP is compared against.
 func (s *Server) RunDeterministic(seed int64, durationSec float64) error {
-	if !s.cfg.Deterministic {
+	if s.eng == nil {
 		return fmt.Errorf("service: RunDeterministic needs a server built with Deterministic=true")
 	}
 	if durationSec <= 0 {
 		return fmt.Errorf("service: RunDeterministic needs a positive duration")
 	}
 	h := s.Handler()
-	var queue []detEvent
-	seq := 0
-	push := func(at float64, fire func()) {
-		e := detEvent{at: at, seq: seq, fire: fire}
-		seq++
-		i := sort.Search(len(queue), func(i int) bool {
-			if queue[i].at != e.at {
-				return queue[i].at > e.at
-			}
-			return queue[i].seq > e.seq
-		})
-		queue = append(queue, detEvent{})
-		copy(queue[i+1:], queue[i:])
-		queue[i] = e
-	}
-	var attemptAt func(ts TimedSubmission, attempt int) func()
-	attemptAt = func(ts TimedSubmission, attempt int) func() {
-		return func() {
-			body, err := json.Marshal(&ts.Req)
-			if err != nil {
-				return
-			}
-			req, err := http.NewRequest(http.MethodPost, "/v1/workflows", bytes.NewReader(body))
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			rec := &responseRecorder{}
-			h.ServeHTTP(rec, req)
-			if rec.status() == http.StatusTooManyRequests {
-				if attempt < s.cfg.RetryLimit {
-					push(s.vnow+s.cfg.RetryAfterSec, attemptAt(ts, attempt+1))
-				} else {
-					s.droppedC.Inc()
-				}
-			}
+	var attempt func(ts TimedSubmission, n int)
+	attempt = func(ts TimedSubmission, n int) {
+		body, err := json.Marshal(&ts.Req)
+		if err != nil {
+			return
+		}
+		req, err := http.NewRequest(http.MethodPost, "/v1/workflows", bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		req.Header.Set("Content-Type", "application/json")
+		rec := &responseRecorder{}
+		h.ServeHTTP(rec, req)
+		if rec.status() != http.StatusTooManyRequests {
+			return
+		}
+		if n < s.cfg.RetryLimit {
+			s.eng.Schedule(s.cfg.RetryAfterSec, func() { attempt(ts, n+1) })
+		} else {
+			s.droppedC.Inc()
 		}
 	}
 	for _, ts := range SeededSubmissions(seed, s.profiles, durationSec) {
-		push(ts.At, attemptAt(ts, 0))
+		s.eng.At(ts.At, func() { attempt(ts, 0) })
 	}
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
-		if e.at > s.vnow {
-			s.vnow = e.at
-		}
-		e.fire()
-		// Serially execute whatever the event admitted; each run completes
-		// at its admission time plus its (virtually simulated) makespan.
-		for len(s.detReady) > 0 {
-			r := s.detReady[0]
-			s.detReady = s.detReady[1:]
-			rep, err := s.runWorkflow(r)
-			makespan := 0.0
-			if rep != nil {
-				makespan = rep.MakespanSec
-			}
-			rr, rrep, rerr := r, rep, err
-			push(s.vnow+makespan, func() { s.finishRun(rr, rrep, rerr) })
-		}
-	}
+	s.eng.Run()
 	return nil
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"hiway/internal/chaos"
@@ -110,8 +109,6 @@ type Config struct {
 	Policy string
 	// AMNode optionally pins every workflow's AM container to one node.
 	AMNode string
-	// MaxTaskRetries is forwarded to each workflow's core.Config. Default 3.
-	MaxTaskRetries int
 	// Chaos, if set, injects task-level faults into every workflow.
 	Chaos chaos.Injector
 	// Memo, if set, is the cluster-wide memo table shared by every admitted
@@ -145,10 +142,11 @@ func (c *Config) setDefaults() {
 	if c.Policy == "" {
 		c.Policy = scheduler.PolicyFCFS
 	}
-	if c.MaxTaskRetries <= 0 {
-		c.MaxTaskRetries = 3
-	}
 }
+
+// maxTaskRetries is the per-task retry budget of every workflow AM that the
+// Service and the Server launch.
+const maxTaskRetries = 3
 
 // Hook observes service lifecycle transitions. Hooks run synchronously
 // inside the service and must not call back into it.
@@ -188,11 +186,10 @@ type Account struct {
 
 // pendingWF is a queued workflow awaiting admission.
 type pendingWF struct {
-	id      string
-	profile *TenantProfile
-	seq     int
-	acct    *Account
-	span    obs.SpanID
+	id   string
+	req  SubmitRequest
+	acct *Account
+	span obs.SpanID
 }
 
 // Service runs the submission queue, admission control and accounting over
@@ -267,48 +264,14 @@ func New(eng *sim.Engine, env core.Env, cfg Config, profiles []TenantProfile) (*
 	return s, nil
 }
 
-// arrival is one pre-generated submission instant.
-type arrival struct {
-	at      float64
-	profile int
-}
-
-// Start pre-generates the seeded arrival schedule and registers every
-// submission with the engine. The caller then drives the engine (Run) until
-// the service drains.
+// Start generates the seeded arrival schedule — the same SeededSubmissions
+// the deterministic Server replays — and registers every submission with
+// the engine. The caller then drives the engine (Run) until the service
+// drains.
 func (s *Service) Start() {
-	var arrivals []arrival
-	for i := range s.profiles {
-		// Per-tenant substream: adding a tenant does not perturb the
-		// arrival times of the others.
-		rng := rand.New(rand.NewSource(s.cfg.Seed + int64(i+1)*0x9e3779b9))
-		t := 0.0
-		for {
-			t += rng.ExpFloat64() / s.profiles[i].RatePerSec
-			if t >= s.cfg.DurationSec {
-				break
-			}
-			arrivals = append(arrivals, arrival{at: t, profile: i})
-		}
-	}
-	sort.SliceStable(arrivals, func(a, b int) bool {
-		if arrivals[a].at != arrivals[b].at {
-			return arrivals[a].at < arrivals[b].at
-		}
-		return arrivals[a].profile < arrivals[b].profile
-	})
-	seq := make([]int, len(s.profiles))
-	for _, a := range arrivals {
-		p := &s.profiles[a.profile]
-		for b := 0; b < p.Burst; b++ {
-			w := &pendingWF{
-				id:      fmt.Sprintf("%s-w%03d", p.Name, seq[a.profile]),
-				profile: p,
-				seq:     seq[a.profile],
-			}
-			seq[a.profile]++
-			s.eng.At(a.at, func() { s.submitAttempt(w, 0) })
-		}
+	for _, ts := range SeededSubmissions(s.cfg.Seed, s.profiles, s.cfg.DurationSec) {
+		w := &pendingWF{id: ts.Req.Tenant + "-" + ts.Req.Name, req: ts.Req}
+		s.eng.At(ts.At, func() { s.submitAttempt(w, 0) })
 	}
 }
 
@@ -316,7 +279,7 @@ func (s *Service) Start() {
 // arrival; later attempts are post-rejection retries).
 func (s *Service) submitAttempt(w *pendingWF, attempt int) {
 	now := s.eng.Now()
-	tenant := w.profile.Name
+	tenant := w.req.Tenant
 	s.submittedC[tenant].Inc()
 	if attempt == 0 {
 		w.acct = &Account{ID: w.id, Tenant: tenant, SubmitAt: now}
@@ -386,7 +349,8 @@ func (s *Service) pump() {
 // already charged the concurrency budget.
 func (s *Service) admit(w *pendingWF) error {
 	now := s.eng.Now()
-	driver, inputs, err := buildWorkflow(w.profile, w.seq)
+	tenant := w.req.Tenant
+	driver, inputs, err := buildSpecWorkflow(tenant, w.req.Name, *w.req.Workload)
 	if err != nil {
 		return err
 	}
@@ -405,20 +369,20 @@ func (s *Service) admit(w *pendingWF) error {
 	w.acct.AdmitAt = now
 	w.acct.Admitted = true
 	w.acct.QueueWaitSec = now - w.acct.QueuedAt
-	s.admittedC[w.profile.Name].Inc()
+	s.admittedC[tenant].Inc()
 	s.queueWaitH.Observe(w.acct.QueueWaitSec)
 	s.tr.Arg(w.span, "admitted", "true")
 	if s.cfg.Hook != nil {
-		s.cfg.Hook.OnAdmitted(now, w.profile.Name, w.id)
+		s.cfg.Hook.OnAdmitted(now, tenant, w.id)
 	}
 	cfg := core.Config{
 		WorkflowID: w.id,
-		Tenant:     w.profile.Name,
+		Tenant:     tenant,
 		AMNode:     s.cfg.AMNode,
-		MaxRetries: s.cfg.MaxTaskRetries,
+		MaxRetries: maxTaskRetries,
 		Chaos:      s.cfg.Chaos,
 		Memo:       s.cfg.Memo,
-		MemoPrefix: fmt.Sprintf("/svc/%s/w%03d", w.profile.Name, w.seq),
+		MemoPrefix: "/svc/" + tenant + "/" + w.req.Name,
 		OnTerminal: func(rep *core.Report) { s.onTerminal(w, rep) },
 	}
 	if _, err := core.Launch(s.env, driver, sched, cfg); err != nil {
@@ -461,7 +425,7 @@ func (s *Service) terminate(w *pendingWF, succeeded bool, err error) {
 	s.tr.Arg(w.span, "succeeded", fmt.Sprintf("%v", succeeded))
 	s.tr.End(w.span)
 	if s.cfg.Hook != nil {
-		s.cfg.Hook.OnFinished(now, w.profile.Name, w.id, succeeded)
+		s.cfg.Hook.OnFinished(now, w.req.Tenant, w.id, succeeded)
 	}
 	s.depthG.Set(float64(s.gate.Depth()))
 	s.runningG.Set(float64(s.gate.Running()))

@@ -83,11 +83,7 @@ func runMemoFamily(sc *Scenario, baseline *PolicyRun, opts Options) ([]PolicyRun
 	}
 
 	if !opts.SkipResume {
-		frac := opts.ResumeFraction
-		if frac <= 0 || frac >= 1 {
-			frac = 0.5
-		}
-		res := runMemoResume(sc, baseline.MakespanSec, frac, opts.Tamper)
+		res := runMemoResume(sc, baseline.MakespanSec, opts.Tamper)
 		runs = append(runs, res)
 		if check(&res, false) && res.Recovered+res.Executed != sc.TotalTasks() {
 			fail("memo-resume: recovered %d + executed %d != %d total tasks",
@@ -122,7 +118,7 @@ func runMemoPolicy(sc *Scenario, tab *memo.Table, name string, tamper func(core.
 // provenance on the surviving substrate. Memo entries may legitimately
 // serve tasks whose outputs did not survive the crash, so the accounting
 // check is once-per-task coverage, not zero splices.
-func runMemoResume(sc *Scenario, baseline, frac float64, tamper func(core.Env)) PolicyRun {
+func runMemoResume(sc *Scenario, baseline float64, tamper func(core.Env)) PolicyRun {
 	const policy = scheduler.PolicyFCFS
 	run := PolicyRun{Policy: "memo-resume", Completed: map[string]int{}}
 	tab := memo.New(0)
@@ -136,7 +132,7 @@ func runMemoResume(sc *Scenario, baseline, frac float64, tamper func(core.Env)) 
 		run.Err = fmt.Sprintf("launch: %v", err)
 		return run
 	}
-	killAt := baseline * frac
+	killAt := baseline * resumeFraction
 	if killAt < 5 {
 		killAt = 5
 	}

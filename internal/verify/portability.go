@@ -449,11 +449,7 @@ func runPortability(sc *Scenario, opts Options) ([]PolicyRun, []string) {
 			}
 		}
 		if !opts.SkipResume && baseline != nil {
-			frac := opts.ResumeFraction
-			if frac <= 0 || frac >= 1 {
-				frac = 0.5
-			}
-			check(runResumeDriver(sc, baseline.MakespanSec, frac, opts.Tamper, rd.factory, rd.lang))
+			check(runResumeDriver(sc, baseline.MakespanSec, opts.Tamper, rd.factory, rd.lang))
 		}
 	}
 	return runs, fails

@@ -42,10 +42,11 @@ type Options struct {
 	Tamper func(env core.Env)
 	// SkipResume disables the kill/resume variant.
 	SkipResume bool
-	// ResumeFraction is the fraction of the baseline makespan at which the
-	// AM is killed in the resume variant; default 0.5.
-	ResumeFraction float64
 }
+
+// resumeFraction is the fraction of the baseline makespan at which the
+// resume variants kill the AM.
+const resumeFraction = 0.5
 
 func (o Options) policies() []string {
 	if len(o.Policies) > 0 {
@@ -235,8 +236,8 @@ func runPolicyDriver(sc *Scenario, policy string, tamper func(core.Env), driver 
 // from provenance on the surviving substrate, and verify that recovery
 // re-executed zero completed tasks. The chaos plan instance spans both
 // incarnations (the injected world does not reset when the AM dies).
-func runResume(sc *Scenario, baseline, frac float64, tamper func(core.Env)) PolicyRun {
-	return runResumeDriver(sc, baseline, frac, tamper, sc.Driver, "")
+func runResume(sc *Scenario, baseline float64, tamper func(core.Env)) PolicyRun {
+	return runResumeDriver(sc, baseline, tamper, sc.Driver, "")
 }
 
 // runResumeDriver is runResume over an arbitrary driver factory. The
@@ -248,7 +249,7 @@ func runResume(sc *Scenario, baseline, frac float64, tamper func(core.Env)) Poli
 // in provenance and legitimately re-executes the whole workflow — the
 // check for renderings is the canonical outcome of the final state, not
 // zero re-execution.
-func runResumeDriver(sc *Scenario, baseline, frac float64, tamper func(core.Env), driver func() wf.Driver, language string) PolicyRun {
+func runResumeDriver(sc *Scenario, baseline float64, tamper func(core.Env), driver func() wf.Driver, language string) PolicyRun {
 	const policy = scheduler.PolicyFCFS
 	run := PolicyRun{Policy: "resume", Lang: language, Completed: map[string]int{}}
 	ctx, err := sc.buildRun(policy, tamper, nil)
@@ -261,7 +262,7 @@ func runResumeDriver(sc *Scenario, baseline, frac float64, tamper func(core.Env)
 		run.Err = fmt.Sprintf("launch: %v", err)
 		return run
 	}
-	killAt := baseline * frac
+	killAt := baseline * resumeFraction
 	if killAt < 5 {
 		killAt = 5
 	}
@@ -411,11 +412,7 @@ func CheckScenario(sc *Scenario, opts Options) *Result {
 	}
 
 	if !opts.SkipResume && baseline != nil {
-		frac := opts.ResumeFraction
-		if frac <= 0 || frac >= 1 {
-			frac = 0.5
-		}
-		run := runResume(sc, baseline.MakespanSec, frac, opts.Tamper)
+		run := runResume(sc, baseline.MakespanSec, opts.Tamper)
 		res.Runs = append(res.Runs, run)
 		r := &res.Runs[len(res.Runs)-1]
 		for _, v := range r.Violations {
